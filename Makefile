@@ -11,11 +11,11 @@ test:
 	$(GO) test ./...
 
 # The serving layer, the online detectors, the streaming index, the
-# disk tier, the sharded router, the wire transport, the replica sets
-# and the metrics registry are the concurrent surfaces; hammer them
-# with the race detector enabled.
+# disk tier, the sharded router, the wire transport, the replica sets,
+# the metrics registry and the offline graph and clustering workers are
+# the concurrent surfaces; hammer them with the race detector enabled.
 race:
-	$(GO) test -race ./internal/serve ./internal/core ./internal/expertise ./internal/querylog ./internal/ingest ./internal/diskseg ./internal/shard ./internal/transport ./internal/replica ./internal/obs ./internal/gateway
+	$(GO) test -race ./internal/serve ./internal/core ./internal/expertise ./internal/querylog ./internal/simgraph ./internal/community ./internal/ingest ./internal/diskseg ./internal/shard ./internal/transport ./internal/replica ./internal/obs ./internal/gateway
 
 vet:
 	$(GO) vet ./...
@@ -33,7 +33,7 @@ docs-check: vet
 # sharded scatter-gather benchmarks in internal/shard, loopback wire
 # benchmarks in internal/transport; BENCHMARKS.md maps each name to the
 # paper table or serving claim it backs.
-BENCH ?= Table9|ServeQPS|OnlineSearch
+BENCH ?= Table9|ServeQPS|OnlineSearch|OfflineGraphBuild
 bench:
 	$(GO) test -bench '$(BENCH)' -benchmem -run '^$$' .
 
@@ -62,9 +62,9 @@ bench-disk:
 # and converts the output to benchstat-compatible JSON via
 # cmd/benchjson. BENCHN names the PR the snapshot belongs to, so
 # successive PRs leave comparable BENCH_<n>.json files behind.
-BENCHN ?= 10
+BENCHN ?= 13
 bench-json:
-	@{ $(GO) test -bench 'Table9|ServeQPS|OnlineSearch' -benchmem -run '^$$' . ; \
+	@{ $(GO) test -bench 'Table9|ServeQPS|OnlineSearch|OfflineGraphBuild' -benchmem -run '^$$' . ; \
 	   $(GO) test -bench 'Ingest|LiveSearch' -benchmem -run '^$$' ./internal/ingest ; \
 	   $(GO) test -bench 'Disk' -benchmem -run '^$$' ./internal/ingest ./internal/diskseg ; \
 	   $(GO) test -bench 'Sharded|EpochVector|Reshard' -benchmem -run '^$$' ./internal/shard ; \

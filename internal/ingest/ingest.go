@@ -124,6 +124,13 @@ type Index struct {
 	spillErrors int64
 	spillSeq    int64
 
+	// structMu serializes structural work — compaction and spill — and
+	// is held across each rewrite, so the layout a rewrite read cannot
+	// change under it except by seals appending after it. Writers never
+	// take it. Quiesce holding it is what makes Quiesce a barrier: no
+	// background rewrite is in flight when it returns.
+	structMu sync.Mutex
+
 	snap atomic.Pointer[Snapshot]
 	// watch is the publish notification channel: closed and replaced on
 	// publishLocked, so anyone holding the channel Watch returned is
@@ -404,8 +411,10 @@ func (i *Index) compactLoop() {
 		case <-i.done:
 			return
 		case <-i.compactReq:
+			i.structMu.Lock()
 			for i.compactOnce() || i.spillOnce() {
 			}
+			i.structMu.Unlock()
 		}
 	}
 }
@@ -447,18 +456,16 @@ func (i *Index) pickRunLocked() (int, []*segment) {
 }
 
 // compactOnce merges one eligible run and publishes the new layout. It
-// reports whether it should be called again (it made progress, or lost
-// a race with a concurrent compaction and must re-scan). The expensive
-// re-index runs outside the lock — the run's segments are immutable —
-// and the splice re-validates the layout before applying.
+// reports whether it made progress. Callers hold structMu, so the run
+// stays where it was picked while the expensive re-index runs outside
+// mu (the run's segments are immutable; seals only append after it).
 func (i *Index) compactOnce() bool {
 	i.mu.Lock()
 	a, run := i.pickRunLocked()
+	i.mu.Unlock()
 	if run == nil {
-		i.mu.Unlock()
 		return false
 	}
-	i.mu.Unlock()
 
 	n := 0
 	for _, sg := range run {
@@ -487,21 +494,6 @@ func (i *Index) compactOnce() bool {
 
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	abort := a+len(run) > len(i.sealed)
-	if !abort {
-		for j, sg := range run {
-			if i.sealed[a+j] != sg {
-				abort = true // a concurrent compaction won; re-scan
-				break
-			}
-		}
-	}
-	if abort {
-		if merged.disk != nil {
-			merged.disk.Release() // unreferenced rewrite; file goes too
-		}
-		return true
-	}
 	i.sealed = append(i.sealed[:a:a], append([]*segment{merged}, i.sealed[a+len(run):]...)...)
 	i.compactions++
 	i.obsCompactions.Inc()
@@ -520,13 +512,14 @@ func (i *Index) compactOnce() bool {
 }
 
 // Quiesce synchronously drains every eligible compaction and — when
-// the disk tier is configured — every eligible spill. Afterwards,
-// absent concurrent ingest, the segment layout is stable and every
-// segment past the spill threshold lives on disk, which the
-// equivalence tests rely on. (A concurrent background merge may still
-// publish afterwards; merged segments index identical content, so
-// query results are unaffected.)
+// the disk tier is configured — every eligible spill. It first waits
+// out any background rewrite in flight, so afterwards, absent
+// concurrent ingest, the segment layout is stable, every segment past
+// the spill threshold lives on disk, and no rewrite is still writing or
+// removing a spill file; the equivalence tests rely on this.
 func (i *Index) Quiesce() {
+	i.structMu.Lock()
+	defer i.structMu.Unlock()
 	for i.compactOnce() || i.spillOnce() {
 	}
 }

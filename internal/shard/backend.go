@@ -243,7 +243,9 @@ func (l *Local) Ingest(p microblog.Post) (microblog.TweetID, error) {
 	return l.idx.Ingest(p), nil
 }
 
-// IngestBatch implements Backend.
+// IngestBatch implements Backend. It applies the posts one at a time,
+// so each advances the index's epoch; it does not go through
+// ingest.Index.IngestBatch and its one-epoch-per-batch contract.
 func (l *Local) IngestBatch(posts []microblog.Post) error {
 	for _, p := range posts {
 		l.idx.Ingest(p)

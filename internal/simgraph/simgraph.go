@@ -3,16 +3,29 @@
 // the cosine similarity of their click-URL vectors.
 //
 // Instead of comparing every possible pair (quadratic in the vocabulary),
-// the builder walks an inverted index from URL to the queries that
-// clicked it: only query pairs sharing at least one URL can have non-zero
-// similarity, which is exactly the sparsity a production implementation
-// exploits. URL postings are processed in parallel worker partitions and
-// the partial dot-products merged.
+// the builder multiplies the sparse query × URL click matrix by its own
+// transpose, one row at a time: only query pairs sharing at least one URL
+// can have non-zero similarity, which is exactly the sparsity a
+// production implementation exploits. For row a it walks a's URLs and,
+// in each URL's posting (ascending query order), the queries b > a,
+// adding clicks_a·clicks_b into a dense accumulator with an explicit
+// touched list; the row's edges are emitted straight from it and only
+// the touched slots are reset. Rows are dealt round-robin over the
+// workers and the rows' edges concatenated in row order.
+//
+// The graph does not depend on the worker count or on summation order:
+// click counts are integers, so every product, dot product and squared
+// norm is an integer, and float64 sums of integers below 2^53 are exact
+// in any order. That holds whenever every query's total clicks stay
+// below 2^26 (a dot product is at most total_a·total_b), far above the
+// click volumes the generators produce.
 package simgraph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -33,7 +46,7 @@ type Config struct {
 	// per vertex (a standard sparsification; 0 disables it).
 	MaxNeighbors int
 	// Workers is the number of concurrent partitions used for the
-	// inverted-index sweep. Zero means 4.
+	// row sweep. Zero means 4.
 	Workers int
 }
 
@@ -127,83 +140,134 @@ func Build(log *querylog.Log, cfg Config) *Graph {
 		cfg.Workers = 4
 	}
 	terms := log.Queries()
+	n := len(terms)
 	g := &Graph{
 		terms: terms,
-		index: make(map[string]int32, len(terms)),
-		adj:   make([][]Neighbor, len(terms)),
+		index: make(map[string]int32, n),
+		adj:   make([][]Neighbor, n),
 	}
 	for i, t := range terms {
 		g.index[t] = int32(i)
 	}
 
-	// Vector norms and the URL -> postings inverted index.
-	norms := make([]float64, len(terms))
-	postings := map[string][]posting{}
-	for i, t := range terms {
-		vec := log.Vector(t)
+	// Rows: every query's (url, clicks) entries, flat, in query order,
+	// with URLs interned to dense ids.
+	norms := make([]float64, n)
+	rowStart := make([]int32, n+1)
+	var rows []rowEntry
+	var colEnd []int32 // per URL: posting length, later its end offset
+	urlID := map[string]int32{}
+	for a, t := range terms {
 		var sq float64
-		for u, c := range vec {
+		for u, c := range log.Vector(t) {
 			fc := float64(c)
 			sq += fc * fc
-			postings[u] = append(postings[u], posting{term: int32(i), clicks: fc})
+			id, ok := urlID[u]
+			if !ok {
+				id = int32(len(colEnd))
+				urlID[u] = id
+				colEnd = append(colEnd, 0)
+			}
+			colEnd[id]++
+			rows = append(rows, rowEntry{url: id, clicks: fc})
 		}
-		norms[i] = math.Sqrt(sq)
+		norms[a] = math.Sqrt(sq)
+		rowStart[a+1] = int32(len(rows))
 	}
 
-	// Deterministic partition of URLs over workers.
-	urls := make([]string, 0, len(postings))
-	for u := range postings {
-		urls = append(urls, u)
+	// Columns: every URL's (query, clicks) postings, flat. Placing rows
+	// in query order keeps each posting in ascending query order, so the
+	// cells after a row's own cell are exactly the queries b > a sharing
+	// that URL; the row entry remembers where they start.
+	next := make([]int32, len(colEnd))
+	var off int32
+	for id, c := range colEnd {
+		next[id] = off
+		off += c
+		colEnd[id] = off
 	}
-	sort.Strings(urls)
+	cols := make([]colEntry, len(rows))
+	for a := int32(0); int(a) < n; a++ {
+		for k := rowStart[a]; k < rowStart[a+1]; k++ {
+			r := &rows[k]
+			cols[next[r.url]] = colEntry{term: a, clicks: r.clicks}
+			next[r.url]++
+			r.from = next[r.url]
+		}
+	}
 
-	partials := make([]map[uint64]float64, cfg.Workers)
+	// Row a accumulates dot(a, b) for every b > a into a dense
+	// accumulator and emits its edges in ascending b. Rows are dealt
+	// round-robin over the workers; each sum is an exact integer, so the
+	// result does not depend on the partition.
+	strong := make([][]Edge, n)
+	weak := make([][]Edge, n)
+	workers := min(cfg.Workers, n)
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			dots := map[uint64]float64{}
-			for i := w; i < len(urls); i += cfg.Workers {
-				ps := postings[urls[i]]
-				for a := 0; a < len(ps); a++ {
-					for b := a + 1; b < len(ps); b++ {
-						dots[pairKey(ps[a].term, ps[b].term)] += ps[a].clicks * ps[b].clicks
+			acc := make([]float64, n)
+			seen := make([]bool, n) // a zero product still makes a pair
+			var touched []int32
+			var strongBuf, weakBuf []Edge
+			for a := w; a < n; a += workers {
+				for _, r := range rows[rowStart[a]:rowStart[a+1]] {
+					for _, c := range cols[r.from:colEnd[r.url]] {
+						if !seen[c.term] {
+							seen[c.term] = true
+							touched = append(touched, c.term)
+						}
+						acc[c.term] += r.clicks * c.clicks
 					}
 				}
+				s0, w0 := len(strongBuf), len(weakBuf)
+				for _, b := range touched {
+					sim := acc[b] / (norms[a] * norms[b])
+					switch {
+					case sim >= cfg.MinSimilarity:
+						strongBuf = append(strongBuf, Edge{A: int32(a), B: b, Weight: sim})
+					case cfg.ProximityFloor > 0 && sim >= cfg.ProximityFloor:
+						weakBuf = append(weakBuf, Edge{A: int32(a), B: b, Weight: sim})
+					}
+					acc[b], seen[b] = 0, false
+				}
+				touched = touched[:0]
+				strong[a], weak[a] = sortByB(strongBuf[s0:]), sortByB(weakBuf[w0:])
 			}
-			partials[w] = dots
 		}(w)
 	}
 	wg.Wait()
 
-	// Merge partials and emit edges above the similarity floor.
-	merged := partials[0]
-	for _, p := range partials[1:] {
-		for k, v := range p {
-			merged[k] += v
+	// Concatenate rows in ascending order. adj[v] receives its b < v
+	// entries in ascending row order, then its own row's b > v entries,
+	// so every adjacency list comes out sorted.
+	deg := make([]int32, n)
+	numWeak := 0
+	for a := range n {
+		for _, e := range strong[a] {
+			deg[e.A]++
+			deg[e.B]++
+		}
+		g.edges += len(strong[a])
+		numWeak += len(weak[a])
+	}
+	backing := make([]Neighbor, 2*g.edges)
+	for v, d := range deg {
+		if d > 0 {
+			g.adj[v], backing = backing[:0:d], backing[d:]
 		}
 	}
-	for k, dot := range merged {
-		a, b := unpairKey(k)
-		sim := dot / (norms[a] * norms[b])
-		switch {
-		case sim >= cfg.MinSimilarity:
-			g.adj[a] = append(g.adj[a], Neighbor{To: b, Weight: sim})
-			g.adj[b] = append(g.adj[b], Neighbor{To: a, Weight: sim})
-			g.edges++
-		case cfg.ProximityFloor > 0 && sim >= cfg.ProximityFloor:
-			g.weak = append(g.weak, Edge{A: a, B: b, Weight: sim})
-		}
+	if numWeak > 0 {
+		g.weak = make([]Edge, 0, numWeak)
 	}
-	sort.Slice(g.weak, func(i, j int) bool {
-		if g.weak[i].A != g.weak[j].A {
-			return g.weak[i].A < g.weak[j].A
+	for a := range n {
+		for _, e := range strong[a] {
+			g.adj[e.A] = append(g.adj[e.A], Neighbor{To: e.B, Weight: e.Weight})
+			g.adj[e.B] = append(g.adj[e.B], Neighbor{To: e.A, Weight: e.Weight})
 		}
-		return g.weak[i].B < g.weak[j].B
-	})
-	for v := range g.adj {
-		sortNeighbors(g.adj[v])
+		g.weak = append(g.weak, weak[a]...)
 	}
 	if cfg.MaxNeighbors > 0 {
 		g.sparsify(cfg.MaxNeighbors)
@@ -211,9 +275,24 @@ func Build(log *querylog.Log, cfg Config) *Graph {
 	return g
 }
 
-type posting struct {
+// rowEntry is one (query, url) cell of the click matrix seen from the
+// query's side; cols[from:colEnd[url]] are the later queries in the
+// same URL's posting.
+type rowEntry struct {
+	url    int32
+	from   int32
+	clicks float64
+}
+
+// colEntry is one (query, url) cell seen from the URL's side.
+type colEntry struct {
 	term   int32
 	clicks float64
+}
+
+func sortByB(es []Edge) []Edge {
+	slices.SortFunc(es, func(x, y Edge) int { return cmp.Compare(x.B, y.B) })
+	return es
 }
 
 func pairKey(a, b int32) uint64 {

@@ -1,7 +1,11 @@
 package simgraph
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -345,5 +349,191 @@ func TestWeakTierDoesNotChangeClusteringInput(t *testing.T) {
 	ib := without.Discretize(20)
 	if ia.TotalUnits() != ib.TotalUnits() {
 		t.Error("proximity floor changed discretized units")
+	}
+}
+
+// referenceBuild is the pair-map sweep Build replaced, kept verbatim as
+// a test oracle: every URL posting emits every pair of its queries into
+// per-worker maps of partial dot products, which are then merged.
+func referenceBuild(log *querylog.Log, cfg Config) *Graph {
+	if cfg.Workers <= 0 {
+		cfg.Workers = 4
+	}
+	terms := log.Queries()
+	g := &Graph{
+		terms: terms,
+		index: make(map[string]int32, len(terms)),
+		adj:   make([][]Neighbor, len(terms)),
+	}
+	for i, t := range terms {
+		g.index[t] = int32(i)
+	}
+
+	// Vector norms and the URL -> postings inverted index.
+	norms := make([]float64, len(terms))
+	postings := map[string][]posting{}
+	for i, t := range terms {
+		vec := log.Vector(t)
+		var sq float64
+		for u, c := range vec {
+			fc := float64(c)
+			sq += fc * fc
+			postings[u] = append(postings[u], posting{term: int32(i), clicks: fc})
+		}
+		norms[i] = math.Sqrt(sq)
+	}
+
+	// Deterministic partition of URLs over workers.
+	urls := make([]string, 0, len(postings))
+	for u := range postings {
+		urls = append(urls, u)
+	}
+	sort.Strings(urls)
+
+	partials := make([]map[uint64]float64, cfg.Workers)
+	var wg sync.WaitGroup
+	for w := 0; w < cfg.Workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			dots := map[uint64]float64{}
+			for i := w; i < len(urls); i += cfg.Workers {
+				ps := postings[urls[i]]
+				for a := 0; a < len(ps); a++ {
+					for b := a + 1; b < len(ps); b++ {
+						dots[pairKey(ps[a].term, ps[b].term)] += ps[a].clicks * ps[b].clicks
+					}
+				}
+			}
+			partials[w] = dots
+		}(w)
+	}
+	wg.Wait()
+
+	// Merge partials and emit edges above the similarity floor.
+	merged := partials[0]
+	for _, p := range partials[1:] {
+		for k, v := range p {
+			merged[k] += v
+		}
+	}
+	for k, dot := range merged {
+		a, b := unpairKey(k)
+		sim := dot / (norms[a] * norms[b])
+		switch {
+		case sim >= cfg.MinSimilarity:
+			g.adj[a] = append(g.adj[a], Neighbor{To: b, Weight: sim})
+			g.adj[b] = append(g.adj[b], Neighbor{To: a, Weight: sim})
+			g.edges++
+		case cfg.ProximityFloor > 0 && sim >= cfg.ProximityFloor:
+			g.weak = append(g.weak, Edge{A: a, B: b, Weight: sim})
+		}
+	}
+	sort.Slice(g.weak, func(i, j int) bool {
+		if g.weak[i].A != g.weak[j].A {
+			return g.weak[i].A < g.weak[j].A
+		}
+		return g.weak[i].B < g.weak[j].B
+	})
+	for v := range g.adj {
+		sortNeighbors(g.adj[v])
+	}
+	if cfg.MaxNeighbors > 0 {
+		g.sparsify(cfg.MaxNeighbors)
+	}
+	return g
+}
+
+type posting struct {
+	term   int32
+	clicks float64
+}
+
+// oracleLogs returns the click logs the row-wise sweep is checked on
+// against referenceBuild.
+func oracleLogs() map[string]*querylog.Log {
+	w := world.Build(world.TinyConfig())
+	recs := querylog.NewGenerator(w, querylog.TinyGenConfig()).GenerateRecords()
+	tiny := querylog.AggregateRecords(recs, 5)
+
+	// One hub URL clicked by every query: every pair shares a URL.
+	var hub []querylog.ClickRecord
+	for i, q := range tiny.Queries() {
+		for u, c := range tiny.Vector(q) {
+			hub = append(hub, querylog.ClickRecord{Query: q, URL: u, Clicks: c})
+		}
+		hub = append(hub, querylog.ClickRecord{Query: q, URL: "hub.example", Clicks: 1 + i%7})
+	}
+
+	cfg := querylog.TinyGenConfig()
+	cfg.Seed = 11
+	other := querylog.AggregateRecords(querylog.NewGenerator(w, cfg).GenerateRecords(), 5)
+
+	// Zero-click cells: "a" and "b" share two URLs on which "b" has no
+	// clicks, so their dot product stays 0 yet they are still one pair;
+	// "z" has no clicks at all (a zero norm).
+	zero := []querylog.ClickRecord{
+		{Query: "a", URL: "a.com", Clicks: 4},
+		{Query: "a", URL: "shared.com", Clicks: 3},
+		{Query: "a", URL: "shared2.com", Clicks: 2},
+		{Query: "b", URL: "b.com", Clicks: 5},
+		{Query: "b", URL: "shared.com", Clicks: 0},
+		{Query: "b", URL: "shared2.com", Clicks: 0},
+		{Query: "c", URL: "shared.com", Clicks: 2},
+		{Query: "c", URL: "c.com", Clicks: 1},
+		{Query: "z", URL: "shared.com", Clicks: 0},
+	}
+	return map[string]*querylog.Log{
+		"tiny":      tiny,
+		"hub":       querylog.AggregateRecords(hub, 1),
+		"scaled":    tiny.Scale(0.5),
+		"merged":    querylog.Merge(tiny, other, 5),
+		"zeroclick": querylog.AggregateRecords(zero, 0),
+	}
+}
+
+// TestBuildMatchesReference checks that the row-wise sweep yields the
+// graph of the pair-map sweep bit for bit: every click count is an
+// integer, so every dot product is exact in any summation order.
+func TestBuildMatchesReference(t *testing.T) {
+	def := DefaultConfig()
+	noFloor, noMin, topK := def, def, def
+	noFloor.ProximityFloor = 0
+	noMin.MinSimilarity = 0
+	topK.MaxNeighbors = 3
+	configs := map[string]Config{
+		"default": def, "floor0": noFloor, "min0": noMin, "top3": topK,
+	}
+	for ln, log := range oracleLogs() {
+		for cn, cfg := range configs {
+			want := referenceBuild(log, cfg)
+			if want.NumEdges() == 0 && len(want.WeakEdges()) == 0 {
+				t.Fatalf("%s/%s: reference graph is empty", ln, cn)
+			}
+			for _, workers := range []int{1, 2, 3, 8} {
+				cfg.Workers = workers
+				t.Run(fmt.Sprintf("%s/%s/w%d", ln, cn, workers), func(t *testing.T) {
+					sameGraph(t, Build(log, cfg), want)
+				})
+			}
+		}
+	}
+}
+
+func sameGraph(t *testing.T, got, want *Graph) {
+	t.Helper()
+	if got.NumEdges() != want.NumEdges() {
+		t.Fatalf("NumEdges = %d, want %d", got.NumEdges(), want.NumEdges())
+	}
+	for v := int32(0); int(v) < want.NumVertices(); v++ {
+		if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
+			t.Fatalf("Neighbors(%d) = %v, want %v", v, got.Neighbors(v), want.Neighbors(v))
+		}
+	}
+	if !slices.Equal(got.Edges(), want.Edges()) {
+		t.Fatal("Edges differ")
+	}
+	if !slices.Equal(got.WeakEdges(), want.WeakEdges()) {
+		t.Fatal("WeakEdges differ")
 	}
 }

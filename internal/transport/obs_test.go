@@ -133,3 +133,39 @@ func TestObsUninstrumentedServerStillCounts(t *testing.T) {
 		t.Fatalf("un-instrumented Requests(OpSearch) = %d, want 1", got)
 	}
 }
+
+// TestObsRequestCountMatchesLatencyCount holds the server's request
+// counter and its latency histogram to one another at every scrape: the
+// histogram is observed before the response is written, so once a
+// client has read its response both already count that request.
+func TestObsRequestCountMatchesLatencyCount(t *testing.T) {
+	p, _ := testPipeline(t)
+	part := shard.Partition(p.Corpus, 0, 1)
+	idx := ingest.New(part, ingest.DefaultConfig())
+	defer idx.Close()
+
+	reg := obs.NewRegistry()
+	scfg := transport.DefaultServerConfig(0, 1)
+	scfg.Obs = reg
+	srv, err := transport.Listen("127.0.0.1:0", idx, scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := transport.NewRemoteShard(srv.Addr().String(), testClientConfig())
+	defer c.Close()
+
+	for i := 1; i <= 200; i++ {
+		_, _, v, err := c.Search(context.Background(), []string{"storm"}, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.Release()
+		reqs := metricValue(t, reg, "rpc_server_search_requests")
+		count := metricValue(t, reg, "rpc_server_search_ns_count")
+		if reqs != int64(i) || count != reqs {
+			t.Fatalf("after search %d: rpc_server_search_requests = %d, rpc_server_search_ns_count = %d",
+				i, reqs, count)
+		}
+	}
+}

@@ -49,7 +49,8 @@ type ServerConfig struct {
 	// Obs, when non-nil, exports the server's wire accounting into the
 	// registry: per-op request counters (rpc_server_<op>_requests, read
 	// callbacks over the same atomics Requests reports), per-op
-	// dispatch-to-flush latency histograms (rpc_server_<op>_ns),
+	// dispatch-to-encode latency histograms (rpc_server_<op>_ns, observed
+	// before the response is written),
 	// rpc_server_pushes, byte counters (rpc_server_bytes_read,
 	// rpc_server_bytes_written) and rpc_server_deflate_saved_bytes —
 	// wire bytes compression avoided sending. Nil serves identically
@@ -374,17 +375,23 @@ func (s *ShardServer) handle(conn net.Conn, st *connState) {
 			st.view.Release()
 			st.view = nil
 		}
-		if respOp == opNone && respErr == nil {
-			// Fire-and-forget op (OpUnpin): nothing goes back.
-			st.busy.Store(st.view != nil)
-			if s.obsOn {
-				s.obsOpNS[op&0x7f].Observe(time.Since(t0).Nanoseconds())
-			}
-			continue
-		}
 		if respErr != nil {
 			st.out = append(st.out[:0], respErr.Error()...)
 			respOp = OpError
+		}
+		if s.obsOn {
+			// Dispatch-to-encode: the server-side cost of the request and
+			// its response serialization, not the write. Observed before
+			// the response goes out, so a client that has read its
+			// response sees the request counter and this histogram's
+			// count agree. Nil-safe for op bytes outside the protocol (no
+			// histogram registered).
+			s.obsOpNS[op&0x7f].Observe(time.Since(t0).Nanoseconds())
+		}
+		if respOp == opNone {
+			// Fire-and-forget op (OpUnpin): nothing goes back.
+			st.busy.Store(st.view != nil)
+			continue
 		}
 		if err := s.writeResp(st, respOp, st.out); err != nil {
 			return
@@ -393,12 +400,6 @@ func (s *ShardServer) handle(conn net.Conn, st *connState) {
 		// exactly while a search op's snapshot pin awaits its paired
 		// OpStats; everything else returns the connection to idle.
 		st.busy.Store(st.view != nil)
-		if s.obsOn {
-			// Dispatch-to-flush: the server-side cost of the request,
-			// response serialization and write included. Nil-safe for op
-			// bytes outside the protocol (no histogram registered).
-			s.obsOpNS[op&0x7f].Observe(time.Since(t0).Nanoseconds())
-		}
 		if op == OpSubscribe && respErr == nil && !st.subscribed {
 			// Start pushing only after the ack is on the wire, so the
 			// client's first frame after OpSubscribe is its response.
