@@ -15,7 +15,7 @@ test:
 # the metrics registry and the offline graph and clustering workers are
 # the concurrent surfaces; hammer them with the race detector enabled.
 race:
-	$(GO) test -race ./internal/serve ./internal/core ./internal/expertise ./internal/querylog ./internal/simgraph ./internal/community ./internal/ingest ./internal/diskseg ./internal/shard ./internal/transport ./internal/replica ./internal/obs ./internal/gateway
+	$(GO) test -race ./internal/serve ./internal/core ./internal/expertise ./internal/querylog ./internal/microblog ./internal/xrand ./internal/simgraph ./internal/community ./internal/ingest ./internal/diskseg ./internal/shard ./internal/transport ./internal/replica ./internal/obs ./internal/gateway
 
 vet:
 	$(GO) vet ./...
@@ -28,14 +28,15 @@ docs-check: vet
 		echo "gofmt -l found unformatted files:"; echo "$$fmtout"; exit 1; fi
 	$(GO) run ./cmd/docscheck ./internal/shard ./internal/core ./internal/transport ./internal/replica ./internal/obs ./internal/gateway ./internal/diskseg
 
-# Hot-path and serving benchmarks; `make bench BENCH=.` runs everything
-# in the root package. Streaming benchmarks live in internal/ingest,
-# sharded scatter-gather benchmarks in internal/shard, loopback wire
-# benchmarks in internal/transport; BENCHMARKS.md maps each name to the
-# paper table or serving claim it backs.
-BENCH ?= Table9|ServeQPS|OnlineSearch|OfflineGraphBuild
+# Hot-path and serving benchmarks plus the two largest offline set-up
+# stages (click-log sampling, corpus generation); `make bench BENCH=.`
+# runs everything in those packages. Streaming benchmarks live in
+# internal/ingest, sharded scatter-gather benchmarks in internal/shard,
+# loopback wire benchmarks in internal/transport; BENCHMARKS.md maps
+# each name to the paper table or serving claim it backs.
+BENCH ?= Table9|ServeQPS|OnlineSearch|OfflineGraphBuild|GenerateRecords|CorpusGenerate
 bench:
-	$(GO) test -bench '$(BENCH)' -benchmem -run '^$$' .
+	$(GO) test -bench '$(BENCH)' -benchmem -run '^$$' . ./internal/querylog ./internal/microblog
 
 bench-ingest:
 	$(GO) test -bench 'Ingest|LiveSearch' -benchmem -run '^$$' ./internal/ingest
@@ -62,9 +63,10 @@ bench-disk:
 # and converts the output to benchstat-compatible JSON via
 # cmd/benchjson. BENCHN names the PR the snapshot belongs to, so
 # successive PRs leave comparable BENCH_<n>.json files behind.
-BENCHN ?= 13
+BENCHN ?= 14
 bench-json:
 	@{ $(GO) test -bench 'Table9|ServeQPS|OnlineSearch|OfflineGraphBuild' -benchmem -run '^$$' . ; \
+	   $(GO) test -bench 'GenerateRecords|CorpusGenerate' -benchmem -run '^$$' ./internal/querylog ./internal/microblog ; \
 	   $(GO) test -bench 'Ingest|LiveSearch' -benchmem -run '^$$' ./internal/ingest ; \
 	   $(GO) test -bench 'Disk' -benchmem -run '^$$' ./internal/ingest ./internal/diskseg ; \
 	   $(GO) test -bench 'Sharded|EpochVector|Reshard' -benchmem -run '^$$' ./internal/shard ; \

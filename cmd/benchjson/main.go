@@ -4,7 +4,8 @@
 //
 //	make bench-json BENCHN=6   # writes BENCH_6.json
 //
-// Each object carries the benchmark name (GOMAXPROCS suffix stripped),
+// Each object carries the benchmark name, the GOMAXPROCS the run used
+// (the name's -N suffix, as "procs"; absent when the name has none),
 // iteration count, ns/op, B/op and allocs/op when present, and any
 // custom ReportMetric values under "metrics".
 package main
@@ -22,6 +23,7 @@ import (
 // result is one parsed benchmark line.
 type result struct {
 	Name        string             `json:"name"`
+	Procs       int                `json:"procs,omitempty"`
 	Runs        int64              `json:"runs"`
 	NsPerOp     float64            `json:"ns_per_op"`
 	BytesPerOp  *int64             `json:"bytes_per_op,omitempty"`
@@ -36,17 +38,17 @@ func parseLine(line string) (result, bool) {
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 		return result{}, false
 	}
-	name := fields[0]
+	name, procs := fields[0], 0
 	if i := strings.LastIndexByte(name, '-'); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil && n > 0 {
+			name, procs = name[:i], n
 		}
 	}
 	runs, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
 		return result{}, false
 	}
-	r := result{Name: name, Runs: runs, NsPerOp: -1}
+	r := result{Name: name, Procs: procs, Runs: runs, NsPerOp: -1}
 	// The remainder alternates value, unit.
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, err := strconv.ParseFloat(fields[i], 64)

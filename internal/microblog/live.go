@@ -48,7 +48,6 @@ func MakeTweet(p Post) Tweet {
 func newShell(w *world.World) *Corpus {
 	return &Corpus{
 		w:          w,
-		termIndex:  map[string][]TweetID{},
 		tweetsBy:   make([]int, len(w.Users)),
 		mentionsOf: make([]int, len(w.Users)),
 		retweetsOf: make([]int, len(w.Users)),

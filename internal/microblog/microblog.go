@@ -13,9 +13,8 @@
 package microblog
 
 import (
-	"fmt"
+	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/textutil"
 	"repro/internal/world"
@@ -260,13 +259,8 @@ var fillerWords = []string{
 // in cfg.Seed.
 func Generate(w *world.World, cfg GenConfig) *Corpus {
 	rng := xrand.New(cfg.Seed)
-	c := &Corpus{
-		w:          w,
-		termIndex:  map[string][]TweetID{},
-		tweetsBy:   make([]int, len(w.Users)),
-		mentionsOf: make([]int, len(w.Users)),
-		retweetsOf: make([]int, len(w.Users)),
-	}
+	c := newShell(w)
+	c.tweets = make([]Tweet, 0, expectedTweets(w, cfg))
 
 	// Per-topic keyword samplers weighted by TweetRate: this is where
 	// search popularity and tweet usage deliberately diverge.
@@ -344,28 +338,49 @@ func Generate(w *world.World, cfg GenConfig) *Corpus {
 	return c
 }
 
+// expectedTweets sizes Generate's tweet slice: the sum of every user's
+// Poisson post mean, counting the chance that an expert's on-topic post
+// draws a fan mention post, plus four standard deviations of slack so
+// the slice is almost never regrown.
+func expectedTweets(w *world.World, cfg GenConfig) int {
+	mean := 0.0
+	for i := range w.Users {
+		u := &w.Users[i]
+		switch u.Kind {
+		case world.ExpertUser, world.NewsUser:
+			mean += cfg.TweetsPerExpert * (0.3 + u.Influence) * (1 + (1-cfg.OffTopicRate)*min(cfg.MentionRate*u.Influence*2, 1))
+		case world.CasualUser:
+			mean += cfg.TweetsPerCasual
+		case world.SpamUser:
+			mean += cfg.TweetsPerSpammer
+		}
+	}
+	return int(mean + 4*math.Sqrt(mean))
+}
+
+// Post texts are rendered into a stack buffer of this size and copied
+// out once; a longer text spills to the heap.
+const textBuf = 128
+
 // addTopical emits one on-topic post for the author.
 func (c *Corpus) addTopical(author world.UserID, topic world.TopicID,
 	kws *xrand.Weighted, rng *xrand.RNG, cfg GenConfig) TweetID {
 
 	t := c.w.Topic(topic)
 	kw := t.Keywords[kws.Draw()].Text
-	var b strings.Builder
-	b.WriteString(fillerWords[rng.Intn(len(fillerWords))])
-	b.WriteByte(' ')
-	b.WriteString(kw)
+	var buf [textBuf]byte
+	b := append(buf[:0], fillerWords[rng.Intn(len(fillerWords))]...)
+	b = append(append(b, ' '), kw...)
 	if rng.Bool(cfg.SecondKeywordRate) {
 		second := t.Keywords[kws.Draw()].Text
 		if second != kw {
-			b.WriteByte(' ')
-			b.WriteString(second)
+			b = append(append(b, ' '), second...)
 		}
 	}
-	b.WriteByte(' ')
-	b.WriteString(fillerWords[rng.Intn(len(fillerWords))])
+	b = append(append(b, ' '), fillerWords[rng.Intn(len(fillerWords))]...)
 
 	retweets := rng.Poisson(cfg.RetweetBoost * c.w.User(author).Influence * 2)
-	return c.append(author, b.String(), nil, retweets, topic)
+	return c.append(author, string(b), nil, retweets, topic)
 }
 
 // addMentionPost emits a fan post that @-mentions an expert together
@@ -375,32 +390,32 @@ func (c *Corpus) addMentionPost(fan, expert world.UserID, topic world.TopicID,
 
 	t := c.w.Topic(topic)
 	kw := t.Keywords[kws.Draw()].Text
-	text := fmt.Sprintf("@%s great takes on %s %s",
-		c.w.User(expert).ScreenName, kw, fillerWords[rng.Intn(len(fillerWords))])
+	text := "@" + c.w.User(expert).ScreenName + " great takes on " + kw + " " +
+		fillerWords[rng.Intn(len(fillerWords))]
 	c.append(fan, text, []world.UserID{expert}, rng.Poisson(0.2), topic)
 }
 
 // addChatter emits a generic off-topic post; occasionally it mentions
 // another random user, giving mention denominators realistic mass.
 func (c *Corpus) addChatter(author world.UserID, rng *xrand.RNG) {
-	var b strings.Builder
+	var buf [textBuf]byte
+	b := buf[:0]
 	n := 2 + rng.Intn(4)
 	for i := 0; i < n; i++ {
 		if i > 0 {
-			b.WriteByte(' ')
+			b = append(b, ' ')
 		}
-		b.WriteString(fillerWords[rng.Intn(len(fillerWords))])
+		b = append(b, fillerWords[rng.Intn(len(fillerWords))]...)
 	}
 	var mentions []world.UserID
 	if rng.Bool(0.08) {
 		other := world.UserID(rng.Intn(len(c.w.Users)))
 		if other != author {
-			b.WriteString(" @")
-			b.WriteString(c.w.User(other).ScreenName)
+			b = append(append(b, " @"...), c.w.User(other).ScreenName...)
 			mentions = append(mentions, other)
 		}
 	}
-	c.append(author, b.String(), mentions, rng.Poisson(0.05), -1)
+	c.append(author, string(b), mentions, rng.Poisson(0.05), -1)
 }
 
 // append finalizes one post: truncates to 140 runes, tokenizes, and
@@ -429,23 +444,37 @@ func (c *Corpus) appendTweet(tw Tweet) TweetID {
 	return tw.ID
 }
 
-// buildIndex constructs the token -> tweet inverted index.
+// buildIndex constructs the token -> tweet inverted index. Each token
+// costs one lookup in a term-id table; a term repeated within a post is
+// dropped because its posting list already ends with the post's id.
 func (c *Corpus) buildIndex() {
+	termID := map[string]int32{}
+	var terms []string
+	var lists [][]TweetID
 	for i := range c.tweets {
-		seen := map[string]bool{}
+		id := c.tweets[i].ID
 		for _, tok := range c.tweets[i].Terms {
-			if seen[tok] {
-				continue
+			t, ok := termID[tok]
+			if !ok {
+				t = int32(len(lists))
+				termID[tok] = t
+				terms = append(terms, tok)
+				lists = append(lists, nil)
 			}
-			seen[tok] = true
-			c.termIndex[tok] = append(c.termIndex[tok], c.tweets[i].ID)
+			p := lists[t]
+			if n := len(p); n > 0 && p[n-1] >= id {
+				if p[n-1] == id {
+					continue
+				}
+				// Tweets carry their position as id, so lists grow in
+				// id order; anything else is a corrupted corpus.
+				panic("microblog: posting list not sorted")
+			}
+			lists[t] = append(p, id)
 		}
 	}
-	// Posting lists are already sorted because tweets are appended in id
-	// order, but assert the invariant cheaply in debug-style.
-	for _, p := range c.termIndex {
-		if !sort.SliceIsSorted(p, func(i, j int) bool { return p[i] < p[j] }) {
-			panic("microblog: posting list not sorted")
-		}
+	c.termIndex = make(map[string][]TweetID, len(lists))
+	for t, p := range lists {
+		c.termIndex[terms[t]] = p
 	}
 }

@@ -240,3 +240,15 @@ func BenchmarkGenerate(b *testing.B) {
 		_ = Generate(w, cfg)
 	}
 }
+
+// BenchmarkCorpusGenerate builds perfbench's corpus: the default world
+// and the default generator config, indexed — the setup.corpus_s stage.
+func BenchmarkCorpusGenerate(b *testing.B) {
+	w := world.Build(world.DefaultConfig())
+	cfg := DefaultGenConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = Generate(w, cfg)
+	}
+}

@@ -17,9 +17,12 @@ package querylog
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -123,8 +126,53 @@ type Generator struct {
 
 	topicSampler *xrand.Weighted
 	kwSamplers   []*xrand.Weighted // per topic, over its keywords
-	globalURLs   []string
 	rng          *xrand.RNG
+
+	// Every keyword text and URL the world can emit is interned to an
+	// int32 id once, so sampling and counting touch ints, not strings.
+	// urlRank orders the URL ids by their strings.
+	queries    interner // keyword texts
+	urls       []string // url id -> URL
+	urlRank    []int32
+	topics     []topicIDs // per topic
+	globalURLs []int32    // every topic URL, sorted by string, duplicates kept
+}
+
+// topicIDs is one topic's interned keywords and URLs.
+type topicIDs struct {
+	keywords []int32 // per keyword: query id
+	selfURLs []int32 // per keyword: url id of SelfURL (-1 if never clicked)
+	urls     []int32 // parallel to Topic.URLs
+}
+
+// interner assigns dense int32 ids to distinct strings.
+type interner struct {
+	strs []string
+	ids  map[string]int32
+}
+
+func (in *interner) id(s string) int32 {
+	if id, ok := in.ids[s]; ok {
+		return id
+	}
+	id := int32(len(in.strs))
+	in.ids[s] = id
+	in.strs = append(in.strs, s)
+	return id
+}
+
+// ranks returns each id's position in the string order of strs.
+func ranks(strs []string) []int32 {
+	order := make([]int32, len(strs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(strs[a], strs[b]) })
+	rank := make([]int32, len(strs))
+	for r, id := range order {
+		rank[id] = int32(r)
+	}
+	return rank
 }
 
 // NewGenerator prepares the samplers. The generator is not safe for
@@ -141,17 +189,41 @@ func NewGenerator(w *world.World, cfg GenConfig) *Generator {
 		rng:          rng,
 		topicSampler: xrand.NewWeighted(rng.Split(), weights),
 	}
+	queries := interner{ids: map[string]int32{}}
+	urls := interner{ids: map[string]int32{}}
+	var globalURLs []string
 	g.kwSamplers = make([]*xrand.Weighted, len(w.Topics))
+	g.topics = make([]topicIDs, len(w.Topics))
 	for i := range w.Topics {
 		kws := w.Topics[i].Keywords
 		kwWeights := make([]float64, len(kws))
+		ids := topicIDs{
+			keywords: make([]int32, len(kws)),
+			selfURLs: make([]int32, len(kws)),
+			urls:     make([]int32, len(w.Topics[i].URLs)),
+		}
 		for j := range kws {
 			kwWeights[j] = kws[j].SearchPop
+			ids.keywords[j] = queries.id(kws[j].Text)
+			ids.selfURLs[j] = -1
+			if kws[j].SelfClickRate > 0 {
+				ids.selfURLs[j] = urls.id(kws[j].SelfURL)
+			}
+		}
+		for j, u := range w.Topics[i].URLs {
+			ids.urls[j] = urls.id(u)
 		}
 		g.kwSamplers[i] = xrand.NewWeighted(rng.Split(), kwWeights)
-		g.globalURLs = append(g.globalURLs, w.Topics[i].URLs...)
+		g.topics[i] = ids
+		globalURLs = append(globalURLs, w.Topics[i].URLs...)
 	}
-	sort.Strings(g.globalURLs)
+	sort.Strings(globalURLs)
+	g.globalURLs = make([]int32, len(globalURLs))
+	for i, u := range globalURLs {
+		g.globalURLs[i] = urls.id(u)
+	}
+	g.queries = queries
+	g.urls, g.urlRank = urls.strs, ranks(urls.strs)
 	return g
 }
 
@@ -175,46 +247,56 @@ func (g *Generator) shardSamplers() samplers {
 
 // event samples one click event using the supplied RNG stream.
 func (g *Generator) event(rng *xrand.RNG, junkRng *xrand.RNG, smp samplers) (query, url string) {
+	q, junk, u := g.draw(rng, junkRng, smp)
+	if q < 0 {
+		return junk, g.urls[u]
+	}
+	return g.queries.strs[q], g.urls[u]
+}
+
+// draw samples one click event as interned ids: q is a query id, or -1
+// for a junk query whose text is returned in junk; u is a url id.
+func (g *Generator) draw(rng *xrand.RNG, junkRng *xrand.RNG, smp samplers) (q int32, junk string, u int32) {
 	if rng.Bool(g.Cfg.JunkQueryRate) {
 		// Junk query: pronounceable nonsense clicking a random URL.
-		query = junkWord(junkRng)
-		url = xrand.Pick(rng, g.globalURLs)
-		return query, url
+		junk = junkWord(junkRng)
+		return -1, junk, xrand.Pick(rng, g.globalURLs)
 	}
 	ti := smp.topics.Draw()
 	topic := &g.World.Topics[ti]
+	ids := &g.topics[ti]
 	ki := smp.keywords[ti].Draw()
 	kw := &topic.Keywords[ki]
-	query = kw.Text
+	q = ids.keywords[ki]
 
 	switch {
 	case kw.SelfClickRate > 0 && rng.Bool(kw.SelfClickRate):
 		// Navigational keyword: the click lands on its own destination.
-		url = kw.SelfURL
+		u = ids.selfURLs[ki]
 	case rng.Bool(g.Cfg.NoiseClickRate):
-		url = xrand.Pick(rng, g.globalURLs)
+		u = xrand.Pick(rng, g.globalURLs)
 	case len(topic.Related) > 0 && rng.Bool(g.Cfg.BridgeClickRate):
 		// Related-topic click: pick a relation (stronger relations more
 		// often) and visit that topic's primary destination.
 		rel := topic.Related[rng.Intn(len(topic.Related))]
 		if rng.Bool(rel.Weight) {
-			url = g.World.Topic(rel.ID).URLs[0]
+			u = g.topics[rel.ID].urls[0]
 		} else {
-			url = topic.URLs[rng.Intn(topic.NumCoreURLs)]
+			u = ids.urls[rng.Intn(topic.NumCoreURLs)]
 		}
-	case len(topic.URLs) > topic.NumCoreURLs && rng.Bool(g.Cfg.HubClickRate):
-		url = topic.URLs[topic.NumCoreURLs+rng.Intn(len(topic.URLs)-topic.NumCoreURLs)]
+	case len(ids.urls) > topic.NumCoreURLs && rng.Bool(g.Cfg.HubClickRate):
+		u = ids.urls[topic.NumCoreURLs+rng.Intn(len(ids.urls)-topic.NumCoreURLs)]
 	default:
-		url = topic.URLs[rng.Intn(topic.NumCoreURLs)]
+		u = ids.urls[rng.Intn(topic.NumCoreURLs)]
 	}
-	return query, url
+	return q, "", u
 }
 
 // junkWord produces a throwaway query string.
 func junkWord(rng *xrand.RNG) string {
 	letters := "abcdefghijklmnopqrstuvwxyz"
-	n := 5 + rng.Intn(8)
-	b := make([]byte, n)
+	var buf [12]byte
+	b := buf[:5+rng.Intn(8)]
 	for i := range b {
 		b[i] = letters[rng.Intn(len(letters))]
 	}
@@ -296,29 +378,49 @@ func (g *Generator) writeShard(path string, events int, rng, junk *xrand.RNG, sm
 }
 
 // GenerateRecords samples the configured number of events entirely in
-// memory and returns them pre-aggregated. Used by tests and small
-// experiments that do not need the sharded file path.
+// memory and returns them pre-aggregated, sorted by (Query, URL). Used
+// by tests and small experiments that do not need the sharded file
+// path.
 func (g *Generator) GenerateRecords() []ClickRecord {
 	rng := g.rng.Split()
 	junk := g.rng.Split()
 	// The in-memory path draws from the generator's own sampler streams,
 	// preserving the exact event sequence of the seed implementation.
-	counts := make(map[[2]string]int)
 	smp := samplers{topics: g.topicSampler, keywords: g.kwSamplers}
+	// Junk queries get ids past the keywords' as they are drawn; a junk
+	// word that spells a keyword shares the keyword's id.
+	queries := interner{strs: slices.Clip(g.queries.strs), ids: maps.Clone(g.queries.ids)}
+	// qid<<32 | uid -> clicks. The default world yields about one
+	// distinct pair per nine events at 600k events, so Events/8 slots
+	// spare the map its growth rehashes.
+	counts := make(map[uint64]int32, g.Cfg.Events/8)
 	for i := 0; i < g.Cfg.Events; i++ {
-		q, u := g.event(rng, junk, smp)
-		counts[[2]string{q, u}]++
-	}
-	out := make([]ClickRecord, 0, len(counts))
-	for k, c := range counts {
-		out = append(out, ClickRecord{Query: k[0], URL: k[1], Clicks: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Query != out[j].Query {
-			return out[i].Query < out[j].Query
+		q, text, u := g.draw(rng, junk, smp)
+		if q < 0 {
+			q = queries.id(text)
 		}
-		return out[i].URL < out[j].URL
-	})
+		counts[uint64(q)<<32|uint64(u)]++
+	}
+
+	// Emit in (Query, URL) string order: ids map to ranks, so the sort
+	// compares integers.
+	queryRank := ranks(queries.strs)
+	type keyed struct {
+		key    uint64 // query rank << 32 | url rank
+		qid    int32
+		uid    int32
+		clicks int32
+	}
+	recs := make([]keyed, 0, len(counts))
+	for k, c := range counts {
+		qid, uid := int32(k>>32), int32(uint32(k))
+		recs = append(recs, keyed{uint64(queryRank[qid])<<32 | uint64(g.urlRank[uid]), qid, uid, c})
+	}
+	slices.SortFunc(recs, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
+	out := make([]ClickRecord, len(recs))
+	for i, r := range recs {
+		out[i] = ClickRecord{Query: queries.strs[r.qid], URL: g.urls[r.uid], Clicks: int(r.clicks)}
+	}
 	return out
 }
 
@@ -362,18 +464,24 @@ func (l *Log) Has(query string) bool {
 
 // AggregateRecords folds pre-aggregated records into a Log, dropping
 // queries whose total clicks fall below minClicks (the paper removes
-// queries appearing fewer than 50 times per month).
+// queries appearing fewer than 50 times per month). Totals come first,
+// so no click vector is built for a query the filter drops.
 func AggregateRecords(recs []ClickRecord, minClicks int) *Log {
-	byQuery := map[string]map[string]int{}
 	totals := map[string]int{}
 	for _, r := range recs {
+		totals[r.Query] += r.Clicks
+	}
+	byQuery := map[string]map[string]int{}
+	for _, r := range recs {
+		if totals[r.Query] < minClicks {
+			continue
+		}
 		m := byQuery[r.Query]
 		if m == nil {
 			m = map[string]int{}
 			byQuery[r.Query] = m
 		}
 		m[r.URL] += r.Clicks
-		totals[r.Query] += r.Clicks
 	}
 	return buildLog(byQuery, totals, minClicks)
 }

@@ -267,10 +267,13 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
+// BenchmarkGenerateRecords samples perfbench's click log: the default
+// world and 600k events, the setup.querylog_s stage minus aggregation.
 func BenchmarkGenerateRecords(b *testing.B) {
-	w := world.Build(world.TinyConfig())
-	cfg := TinyGenConfig()
-	cfg.Events = 10_000
+	w := world.Build(world.DefaultConfig())
+	cfg := DefaultGenConfig()
+	cfg.Events = 600_000
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := NewGenerator(w, cfg)

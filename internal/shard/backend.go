@@ -14,6 +14,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/expertise"
@@ -380,21 +381,35 @@ func (c *Cluster) Ingest(p microblog.Post) (microblog.TweetID, error) {
 	return c.backends[ShardOf(p.Author, len(c.backends))].Ingest(p)
 }
 
-// IngestBatch routes posts to their author shards, preserving per-shard
-// arrival order for a single caller, and ships each shard's run as a
-// batch (one wire frame per run for remote backends). The first error
-// aborts the remainder.
+// IngestBatch routes posts to their author shards and ships each
+// shard's share of the batch, in arrival order, as one IngestBatch
+// call (one wire frame for a remote backend, up to its IngestChunk).
+// Shards are written in index order; the first error aborts the
+// remainder.
 func (c *Cluster) IngestBatch(posts []microblog.Post) error {
-	for start := 0; start < len(posts); {
-		si := ShardOf(posts[start].Author, len(c.backends))
-		end := start + 1
-		for end < len(posts) && ShardOf(posts[end].Author, len(c.backends)) == si {
-			end++
+	n := len(c.backends)
+	// Stable counting sort by shard: group si is
+	// grouped[start[si]:start[si+1]], in arrival order.
+	start := make([]int, n+1)
+	for _, p := range posts {
+		start[ShardOf(p.Author, n)+1]++
+	}
+	for si := 0; si < n; si++ {
+		start[si+1] += start[si]
+	}
+	fill := slices.Clone(start[:n])
+	grouped := make([]microblog.Post, len(posts))
+	for _, p := range posts {
+		si := ShardOf(p.Author, n)
+		grouped[fill[si]] = p
+		fill[si]++
+	}
+	for si := 0; si < n; si++ {
+		if group := grouped[start[si]:start[si+1]]; len(group) > 0 {
+			if err := c.backends[si].IngestBatch(group); err != nil {
+				return fmt.Errorf("shard %d: %w", si, err)
+			}
 		}
-		if err := c.backends[si].IngestBatch(posts[start:end]); err != nil {
-			return fmt.Errorf("shard %d: %w", si, err)
-		}
-		start = end
 	}
 	return nil
 }

@@ -69,7 +69,13 @@ func ShardOf(u world.UserID, n int) int {
 // process rebuilt from the same deterministic pipeline starts from the
 // identical base slice the in-process router would give that shard.
 func Partition(base *microblog.Corpus, i, n int) *microblog.Corpus {
-	var part []microblog.Tweet
+	size := 0
+	for _, tw := range base.Tweets() {
+		if ShardOf(tw.Author, n) == i {
+			size++
+		}
+	}
+	part := make([]microblog.Tweet, 0, size)
 	for _, tw := range base.Tweets() {
 		if ShardOf(tw.Author, n) == i {
 			part = append(part, tw)

@@ -70,6 +70,15 @@ func testClientConfig() transport.ClientConfig {
 // one per shard, with cleanup registered on t.
 func startShardServers(t testing.TB, p *core.Pipeline, n int, icfg ingest.Config) []*transport.RemoteShard {
 	t.Helper()
+	_, clients := startServers(t, p, n, icfg)
+	return clients
+}
+
+// startServers is startShardServers that also hands back the servers,
+// so a test can read their per-op request counters.
+func startServers(t testing.TB, p *core.Pipeline, n int, icfg ingest.Config) ([]*transport.ShardServer, []*transport.RemoteShard) {
+	t.Helper()
+	servers := make([]*transport.ShardServer, n)
 	clients := make([]*transport.RemoteShard, n)
 	for i := 0; i < n; i++ {
 		part := shard.Partition(p.Corpus, i, n)
@@ -87,9 +96,9 @@ func startShardServers(t testing.TB, p *core.Pipeline, n int, icfg ingest.Config
 		if err := c.Handshake(i, n, len(p.World.Users), part.NumTweets()); err != nil {
 			t.Fatal(err)
 		}
-		clients[i] = c
+		servers[i], clients[i] = srv, c
 	}
-	return clients
+	return servers, clients
 }
 
 // TestRemoteQuiescedEquivalence is the acceptance bar of the transport:

@@ -183,10 +183,18 @@ func (z *Zipf) Draw() int {
 func (z *Zipf) N() int { return len(z.cdf) }
 
 // Weighted samples indices proportionally to a fixed non-negative weight
-// vector. Like Zipf it precomputes the CDF once.
+// vector. Like Zipf it precomputes the CDF once, plus a guide table
+// that turns each draw into a jump and a short forward scan instead of
+// a binary search.
 type Weighted struct {
 	cdf []float64
-	rng *RNG
+	// guide[j] is the smallest i with int(cdf[i]*len(cdf)) >= j. A
+	// uniform u lands in bucket j = int(u*len(cdf)); every cdf entry
+	// before guide[j] is below u (x -> int(x*K) is monotone), so the
+	// first cdf[i] >= u is found by scanning forward from guide[j] —
+	// exactly the index a binary search returns.
+	guide []int32
+	rng   *RNG
 }
 
 // NewWeighted builds a sampler over len(weights) outcomes. Weights must be
@@ -211,29 +219,41 @@ func NewWeighted(rng *RNG, weights []float64) *Weighted {
 		cdf[i] /= sum
 	}
 	cdf[len(cdf)-1] = 1
-	return &Weighted{cdf: cdf, rng: rng}
+	return &Weighted{cdf: cdf, guide: guideTable(cdf), rng: rng}
 }
 
-// Clone returns a sampler over the same precomputed CDF driven by an
-// independent RNG stream. It exists so concurrent generators can share
-// one weight table without racing on the sampler's RNG state.
+// guideTable builds Weighted.guide for a non-decreasing cdf ending in 1.
+func guideTable(cdf []float64) []int32 {
+	k := float64(len(cdf))
+	guide := make([]int32, len(cdf))
+	i := 0
+	for j := range guide {
+		for i < len(cdf)-1 && int(cdf[i]*k) < j {
+			i++
+		}
+		guide[j] = int32(i)
+	}
+	return guide
+}
+
+// Clone returns a sampler over the same precomputed CDF and guide table
+// driven by an independent RNG stream. It exists so concurrent
+// generators can share one weight table without racing on the
+// sampler's RNG state.
 func (w *Weighted) Clone(rng *RNG) *Weighted {
-	return &Weighted{cdf: w.cdf, rng: rng}
+	return &Weighted{cdf: w.cdf, guide: w.guide, rng: rng}
 }
 
 // Draw returns the next sampled index.
-func (w *Weighted) Draw() int {
-	u := w.rng.Float64()
-	lo, hi := 0, len(w.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if w.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+func (w *Weighted) Draw() int { return w.index(w.rng.Float64()) }
+
+// index returns the first i with cdf[i] >= u, for u in [0, 1).
+func (w *Weighted) index(u float64) int {
+	i := int(w.guide[int(u*float64(len(w.cdf)))])
+	for w.cdf[i] < u {
+		i++
 	}
-	return lo
+	return i
 }
 
 // Pick returns a uniformly chosen element of items. It panics on an empty

@@ -334,3 +334,118 @@ func BenchmarkZipfDraw(b *testing.B) {
 		_ = z.Draw()
 	}
 }
+
+// searchIndex is the binary search Weighted.Draw used before the guide
+// table: the first i with cdf[i] >= u.
+func searchIndex(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// guideProbes returns the uniforms where a guide-table draw can go
+// wrong: 0, the largest uniform below 1, every cdf boundary and both of
+// its float neighbours (clipped to [0, 1)).
+func guideProbes(cdf []float64) []float64 {
+	us := []float64{0, math.Nextafter(1, 0)}
+	for _, c := range cdf {
+		for _, u := range []float64{c, math.Nextafter(c, 0), math.Nextafter(c, 2)} {
+			if u >= 0 && u < 1 {
+				us = append(us, u)
+			}
+		}
+	}
+	return us
+}
+
+// guideMismatch returns the first probe where w's guide-table lookup
+// disagrees with the binary search, or ok=false when none does.
+func guideMismatch(w *Weighted) (u float64, got, want int, ok bool) {
+	for _, u := range guideProbes(w.cdf) {
+		if got, want := w.index(u), searchIndex(w.cdf, u); got != want {
+			return u, got, want, true
+		}
+	}
+	return 0, 0, 0, false
+}
+
+// guideWeightVectors are the oracle's inputs: hand-picked edge shapes
+// (one outcome, zeros, plateaus, extreme ratios) plus 50 random vectors
+// with zero runs.
+func guideWeightVectors() [][]float64 {
+	vs := [][]float64{
+		{1},
+		{0, 1},
+		{1, 0},
+		{0, 0, 5, 0, 0},
+		{1, 1, 1, 1, 1, 1, 1, 1},
+		{1, 2, 7},
+		{1e-300, 1, 1e-300},
+		{1e300, 1e-300, 1e-300, 1e300},
+		{1, 1e-9, 1e-9, 1e-9, 1e-9, 1e-9, 1e-9, 1},
+		{3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1},
+	}
+	r := New(2024)
+	for k := 0; k < 50; k++ {
+		n := 1 + r.Intn(300)
+		ws := make([]float64, n)
+		for i := range ws {
+			switch r.Intn(4) {
+			case 0: // zero run
+			case 1:
+				ws[i] = 1 // plateau
+			default:
+				ws[i] = r.LogNormal(0, 3)
+			}
+		}
+		ws[r.Intn(n)] += 1 // positive sum
+		vs = append(vs, ws)
+	}
+	return vs
+}
+
+// TestWeightedGuideMatchesBinarySearch pins the guide-table Draw to the
+// binary search it replaced, at every cdf boundary and its float
+// neighbours, and on a live draw stream.
+func TestWeightedGuideMatchesBinarySearch(t *testing.T) {
+	for vi, ws := range guideWeightVectors() {
+		w := NewWeighted(New(uint64(vi)), ws)
+		if u, got, want, bad := guideMismatch(w); bad {
+			t.Fatalf("vector %d (n=%d): u=%v drew %d, binary search %d", vi, len(ws), u, got, want)
+		}
+		ref := New(uint64(vi))
+		for i := 0; i < 2000; i++ {
+			if got, want := w.Draw(), searchIndex(w.cdf, ref.Float64()); got != want {
+				t.Fatalf("vector %d draw %d: got %d, binary search %d", vi, i, got, want)
+			}
+		}
+	}
+}
+
+// TestWeightedGuideOracleCatchesOffByOne shows the oracle above has
+// teeth: a guide table shifted one slot late disagrees with the binary
+// search somewhere in the probe set.
+func TestWeightedGuideOracleCatchesOffByOne(t *testing.T) {
+	caught := 0
+	for _, ws := range guideWeightVectors() {
+		w := NewWeighted(New(1), ws)
+		late := make([]int32, len(w.guide))
+		for j, g := range w.guide {
+			late[j] = min(g+1, int32(len(w.cdf)-1))
+		}
+		w.guide = late
+		if _, _, _, bad := guideMismatch(w); bad {
+			caught++
+		}
+	}
+	if caught == 0 {
+		t.Fatal("an off-by-one guide table passed the oracle on every vector")
+	}
+}
